@@ -33,8 +33,8 @@ func BenchmarkFleetSecond(b *testing.B) {
 		RTTSpan:   0.3,
 		Shards:    1,
 	}
-	// Warm the process-wide state (timing wheel sizing, registry, pool
-	// internals) outside the measurement.
+	// Warm the process-wide state (registry, pool internals) outside the
+	// measurement.
 	if _, err := core.RunFleet(cfg); err != nil {
 		b.Fatal(err)
 	}

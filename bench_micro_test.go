@@ -24,7 +24,7 @@ import (
 
 // BenchmarkSchedulerChurn models the TCP retransmission-timer pattern that
 // dominates scheduler load: every "ACK" cancels a pending timer and arms a
-// new one (lazy deletion leaves a tombstone each time), with the timer
+// new one (Cancel removes the entry from the heap at once), with the timer
 // itself almost never firing.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	b.ReportAllocs()
@@ -53,13 +53,13 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWheelChurn drives the timing wheel across both
-// levels: every step arms a short timer that lands in the level-0 wheel
-// and fires, re-arms a medium timer on the level-1 wheel (cancelling the
-// previous one through the slot swap-remove path), and advances simulated
-// time across level-1 slot boundaries so cascade runs too. Together with
-// BenchmarkSchedulerChurn (heap-dominated near-horizon churn) it pins
-// both halves of the scheduler front-end.
+// BenchmarkSchedulerWheelChurn (named for the timing wheel that once
+// fronted the heap) is a cancel-heavy mixed-horizon load: every step arms
+// a short timer (300 µs) that fires, re-arms a medium timer (50 ms) after
+// cancelling the previous one, and advances simulated time so the medium
+// timers are always many steps from due. Together with
+// BenchmarkSchedulerChurn (near-horizon churn) it pins the eager-cancel
+// path with a deeper queue.
 func BenchmarkSchedulerWheelChurn(b *testing.B) {
 	b.ReportAllocs()
 	const steps = 100000
@@ -73,8 +73,8 @@ func BenchmarkSchedulerWheelChurn(b *testing.B) {
 			if far.Pending() {
 				s.Cancel(far)
 			}
-			far = s.After(50*sim.Millisecond, noop) // level-1 horizon
-			s.After(300*sim.Microsecond, noop)      // level-0 horizon, fires
+			far = s.After(50*sim.Millisecond, noop)
+			s.After(300*sim.Microsecond, noop) // fires
 			n++
 			if n < steps {
 				s.After(20*sim.Microsecond, step)
@@ -329,11 +329,18 @@ func BenchmarkAnalyzeStreaming(b *testing.B) {
 	}
 }
 
+// wifiBenchSeed seeds BenchmarkWifiGilbertSecond's world. Its second drops
+// on the wire, as the bench checks; not every seed's does (of seeds
+// 1–200, 77 and 188 see no wire drop in the first simulated second).
+const wifiBenchSeed = 1
+
 // BenchmarkWifiGilbertSecond runs one simulated second of a time-varying
 // world — 8 TCP flows over a random-walk-modulated wireless hop with a
 // Gilbert–Elliott wire dropper — so the link-dynamics path (modulator
 // retunes, per-packet chain draws, wire-drop recycling) sits in the CI
-// bench-gate smoke set next to the static DumbbellSecond.
+// bench-gate smoke set next to the static DumbbellSecond. Every op runs
+// the same world, seeded wifiBenchSeed, so the work and the reported
+// metrics do not depend on b.N.
 func BenchmarkWifiGilbertSecond(b *testing.B) {
 	b.ReportAllocs()
 	spec := topo.Spec{Name: "wifi-bench"}
@@ -363,7 +370,7 @@ func BenchmarkWifiGilbertSecond(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sched := sim.NewScheduler()
 		pool := netsim.NewPacketPool()
-		net, err := topo.Build(sched, spec, int64(i+1))
+		net, err := topo.Build(sched, spec, wifiBenchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func SweepArena[C, R any](opts Options, configs []C, fn func(Run[C], *Arena) (R,
 }
 
 // arenaPool recycles worker arenas across sweeps. A sweep's arenas carry
-// warm capacity that is expensive to regrow — event freelists, wheel-slot
+// warm capacity that is expensive to regrow — event freelists, scheduler
 // and queue-store slices, packet populations, cached compiled worlds — and
 // every one of those is rewound by its accessor (Scheduler resets, worlds
 // Reset via topo.NetworkIn), so a pooled arena is observationally

@@ -32,35 +32,27 @@ func (c *MeshConfig) fillDefaults() {
 	}
 }
 
-// Mesh is the full 650-path synthetic testbed.
+// Mesh is the full 650-path synthetic testbed. Each path's parameters are
+// a pure function of the seed and the site pair, derived on demand and
+// never memoized, so a Mesh is immutable after NewMesh and safe to share
+// across goroutines.
 type Mesh struct {
 	Sites []Site
 	cfg   MeshConfig
-	// paths[src][dst], nil on the diagonal.
-	params [][]PathParams
 }
 
-// NewMesh derives the complete directed mesh over the paper's 26 sites.
+// NewMesh returns the directed mesh over the paper's 26 sites.
 func NewMesh(cfg MeshConfig) *Mesh {
 	cfg.fillDefaults()
-	sites := Sites()
-	m := &Mesh{Sites: sites, cfg: cfg}
-	m.params = make([][]PathParams, len(sites))
-	for i := range sites {
-		m.params[i] = make([]PathParams, len(sites))
-		for j := range sites {
-			if i == j {
-				continue
-			}
-			m.params[i][j] = m.derivePath(i, j)
-		}
-	}
-	return m
+	return &Mesh{Sites: Sites(), cfg: cfg}
 }
 
-// derivePath computes deterministic per-path parameters from the seed and
-// the site pair.
-func (m *Mesh) derivePath(i, j int) PathParams {
+// PathParams derives the parameters of the directed path i→j from the
+// seed and the site pair. Panics on the diagonal.
+func (m *Mesh) PathParams(i, j int) PathParams {
+	if i == j {
+		panic("planetlab: no self path")
+	}
 	rng := rand.New(rand.NewSource(sim.SubSeed(m.cfg.Seed, int64(i*1000+j))))
 
 	a, b := m.Sites[i], m.Sites[j]
@@ -99,15 +91,6 @@ func (m *Mesh) derivePath(i, j int) PathParams {
 		Background:    rng.Float64() * 5e-4,
 		JitterMax:     sim.Duration(float64(rtt) * 0.02),
 	}
-}
-
-// PathParams returns the derived parameters for the directed path i→j.
-// Panics on the diagonal.
-func (m *Mesh) PathParams(i, j int) PathParams {
-	if i == j {
-		panic("planetlab: no self path")
-	}
-	return m.params[i][j]
 }
 
 // NewPathProcess instantiates the live loss process for path i→j with an
@@ -158,7 +141,7 @@ func (m *Mesh) AllRTTs() []sim.Duration {
 	for i := range m.Sites {
 		for j := range m.Sites {
 			if i != j {
-				out = append(out, m.params[i][j].RTT)
+				out = append(out, m.PathParams(i, j).RTT)
 			}
 		}
 	}

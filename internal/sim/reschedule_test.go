@@ -36,7 +36,7 @@ func TestSchedulerReschedule(t *testing.T) {
 		t.Fatalf("order = %v, want [1 2]", order)
 	}
 	if s.Fired() != 2 {
-		t.Fatalf("fired = %d, want 2 (no tombstone fired)", s.Fired())
+		t.Fatalf("fired = %d, want 2 (the superseded time must not fire)", s.Fired())
 	}
 	if tm3.Pending() {
 		t.Fatal("fired timer still pending")
@@ -65,18 +65,17 @@ func TestSchedulerRescheduleCancel(t *testing.T) {
 	s.Run()
 }
 
-// Reschedule must work across every residency combination: heap→wheel,
-// wheel→heap, wheel→wheel (same and different slots), and the result must
-// fire exactly like a freshly scheduled event. The far times sit beyond
-// the level-1 horizon (heap residents); the near times inside level 0.
+// Reschedule must move an event between any two horizons — near to far,
+// far to near, within either — and the result must fire exactly like a
+// freshly scheduled event.
 func TestSchedulerRescheduleResidency(t *testing.T) {
 	const far = Duration(10 * Second)
 	moves := [][2]Duration{
-		{far, Millisecond},              // heap → wheel
-		{Millisecond, far},              // wheel → heap
-		{Millisecond, 2 * Millisecond},  // wheel → wheel
-		{far, far + Second},             // heap → heap
-		{20 * Millisecond, 40 * Second}, // level 1 → heap
+		{far, Millisecond},
+		{Millisecond, far},
+		{Millisecond, 2 * Millisecond},
+		{far, far + Second},
+		{20 * Millisecond, 40 * Second},
 	}
 	for _, mv := range moves {
 		s := NewScheduler()

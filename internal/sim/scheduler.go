@@ -5,27 +5,55 @@ import "fmt"
 // event is the scheduler-owned state behind a Timer handle. Events are
 // recycled through a per-scheduler freelist: the generation counter is
 // bumped every time an event leaves the scheduled state (fire or cancel),
-// which is what makes a stale Timer handle — or a stale heap entry — a
-// detectable no-op instead of a use-after-free. The freelist is per world
-// and needs no synchronization because a Scheduler is confined to one
-// goroutine by contract.
+// which is what makes a stale Timer handle a detectable no-op instead of a
+// use-after-free. The freelist is per world and needs no synchronization
+// because a Scheduler is confined to one goroutine by contract.
+//
+// A scheduled event carries its own ordering key. t is the due time; armT
+// is the virtual instant the event was armed at — s.now for the ordinary
+// At/After family, or a caller-asserted instant for the AsOf variants.
+// armT2 and armT3 extend the key two generations up the arming ancestry:
+// the instant the event's parent (the event whose callback armed this one)
+// was armed, and the parent's parent in turn. For truthfully armed events
+// the chain is threaded automatically from the firing event's own keys, and
+// because seq is strictly monotone over arming order, sorting simultaneous
+// events by (armT, armT2, armT3, seq) is identical to sorting by seq alone —
+// at every depth the ancestor keys can only agree with the seq order they
+// summarize. The genealogy matters when a coalesced timer stands in for an
+// event a reference execution would have armed elsewhere (see AtAsOf): two
+// stand-ins can tie not just at the due time but at the replaced events'
+// arming instants too — two same-geometry ports finishing serialization in
+// the same nanosecond — and then the reference breaks the tie by the arming
+// order of the parents, which the deeper keys carry and a plain
+// (armT, seq) cannot. Ties through all three generations fall to seq, the
+// one residual the stand-in cannot reproduce.
 type event struct {
-	t    Time
-	gen  uint64
-	fn   func()
-	afn  func(any)
-	arg  any
-	next *event // freelist link
+	t     Time
+	armT  Time
+	armT2 Time
+	armT3 Time
+	seq   uint64
+	gen   uint64
+	idx   int // position in the queue while scheduled
+	fn    func()
+	afn   func(any)
+	arg   any
+	next  *event // freelist link
+}
 
-	// Wheel residency backref. wlevel is 0 when the event lives in the
-	// heap (or nowhere), 1/2 for wheel level 0/1; wslot and wpos locate
-	// its entry so Cancel can swap-remove it in O(1). Eager removal keeps
-	// wheel slots tombstone-free — cancel-heavy timer patterns (TCP RTOs
-	// rearmed every ACK) would otherwise pile dead entries into far-future
-	// slots until the clock reached them.
-	wlevel uint8
-	wslot  uint8
-	wpos   int32
+// before reports whether x fires before y when both are due at the same
+// instant: the genealogy keys, then the arming sequence.
+func (x *event) before(y *event) bool {
+	if x.armT != y.armT {
+		return x.armT < y.armT
+	}
+	if x.armT2 != y.armT2 {
+		return x.armT2 < y.armT2
+	}
+	if x.armT3 != y.armT3 {
+		return x.armT3 < y.armT3
+	}
+	return x.seq < y.seq
 }
 
 // Timer is a cancelable handle to a scheduled callback. The zero value is
@@ -50,70 +78,28 @@ func (tm Timer) Time() Time {
 	return tm.e.t
 }
 
-// entry is one element of the scheduler's event queue: the ordering key
-// (time, arming genealogy, FIFO sequence) plus the generation snapshot that
-// identifies whether the referenced event is still the one this entry was
-// pushed for. Cancelled events are deleted lazily — the entry stays in the
-// heap as a tombstone until its time comes up and the generation mismatch
-// discards it in O(1).
-//
-// armT is the virtual instant the event was armed at — s.now for the
-// ordinary At/After family, or a caller-asserted instant for the AsOf
-// variants. armT2 and armT3 extend the key two generations up the arming
-// ancestry: the instant the event's parent (the event whose callback armed
-// this one) was armed, and the parent's parent in turn. For truthfully
-// armed events the chain is threaded automatically from the firing event's
-// own keys, and because seq is strictly monotone over arming order, sorting
-// simultaneous events by (armT, armT2, armT3, seq) is identical to sorting
-// by seq alone — at every depth the ancestor keys can only agree with the
-// seq order they summarize. The genealogy matters when a coalesced timer
-// stands in for an event a reference execution would have armed elsewhere
-// (see AtAsOf): two stand-ins can tie not just at the due time but at the
-// replaced events' arming instants too — two same-geometry ports finishing
-// serialization in the same nanosecond — and then the reference breaks the
-// tie by the arming order of the parents, which the deeper keys carry and
-// a plain (armT, seq) cannot. Ties through all three generations fall to
-// seq, the one residual the stand-in cannot reproduce.
+// entry is one element of the scheduler's queue: the due time, copied out
+// of the event so the common case of distinct times compares without
+// touching event memory, and the event itself. Cancel and Reschedule act on
+// the queue eagerly, so every entry is live and its event's tie-break keys
+// are always the ones the entry was placed by.
 type entry struct {
-	t     Time
-	armT  Time
-	armT2 Time
-	armT3 Time
-	seq   uint64
-	gen   uint64
-	e     *event
+	t Time
+	e *event
 }
 
 func entryLess(a, b entry) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.armT != b.armT {
-		return a.armT < b.armT
-	}
-	if a.armT2 != b.armT2 {
-		return a.armT2 < b.armT2
-	}
-	if a.armT3 != b.armT3 {
-		return a.armT3 < b.armT3
-	}
-	return a.seq < b.seq
+	return a.e.before(b.e)
 }
 
-// Timing-wheel geometry. Two fixed levels of 256 slots front the heap:
-// level 0 buckets events by 2^16 ns (~65.5 µs) ticks — a horizon of
-// ~16.8 ms, which covers per-packet serialize/deliver timers and most
-// RTT-scale timeouts — and level 1 buckets by 2^24 ns (~16.8 ms) ticks for
-// a horizon of ~4.29 s, which covers retransmission timers. Events beyond
-// the level-1 horizon, or due in an already-flushed tick, go straight to
-// the heap.
-const (
-	wheelBits  = 8
-	wheelSlots = 1 << wheelBits // 256 slots per level
-	wheelMask  = wheelSlots - 1
-	tick0Bits  = 16 // level-0 granularity: 2^16 ns
-	tick1Bits  = tick0Bits + wheelBits
-)
+// queueInit is the capacity a cold scheduler's queue starts with: one
+// 4 KB allocation holds the paper's Figure 2 world (about 136 events
+// pending on average), so a warming world does not regrow its queue
+// through the small sizes one allocation at a time.
+const queueInit = 256
 
 // Scheduler is a deterministic discrete-event executor. The zero value is
 // ready to use. Scheduler is not safe for concurrent use: the simulated
@@ -122,36 +108,22 @@ const (
 // many CPUs, run independent Schedulers in parallel (see internal/exp), one
 // per replication, never one Scheduler across goroutines.
 //
-// The core queue is a value-based 4-ary min-heap ordered by (time, arming
-// genealogy, insertion sequence): flatter than a binary heap (fewer cache-missing
-// levels per sift) and free of the container/heap interface dispatch. A
-// two-level hierarchical timing wheel fronts the heap: near-future events
-// land in fixed slots with O(1) insert, and a slot's entries are flushed
-// into the heap only when the clock reaches its tick. Because every event
-// ultimately fires through the heap's (time, sequence) merge, the global
-// firing order is exactly what a heap-only scheduler produces — the wheel
-// changes cost, never order. Event structs come from a per-world freelist
-// and fire-or-cancel recycles them, so the steady-state scheduling path
+// The queue is an indexed 4-ary min-heap of 16-byte (time, event) entries
+// ordered by (time, arming genealogy, insertion sequence): flatter than a
+// binary heap (fewer cache-missing levels per sift; a node's four children
+// are 64 contiguous bytes) and free of the container/heap interface
+// dispatch. Every event records its heap position, so Cancel removes it
+// and Reschedule re-keys it in place — the queue holds no dead entries and
+// Pending is its length. Event structs come from a per-world freelist and
+// fire-or-cancel recycles them, so the steady-state scheduling path
 // performs no allocation.
 type Scheduler struct {
 	now    Time
 	seq    uint64
 	queue  []entry
-	live   int // scheduled and not cancelled — Pending() in O(1)
 	fired  uint64
 	halted bool
 	free   *event
-
-	// Timing wheel state. cur0 is the next unflushed level-0 tick
-	// (absolute, = time >> tick0Bits); cur1 the next uncascaded level-1
-	// tick. count0/count1 track stored entries per level, tombstones
-	// included, so emptiness checks are O(1). Slot slices keep their
-	// capacity across flushes and Resets.
-	cur0, cur1     int64
-	count0, count1 int
-	wheelInit      bool
-	slots0         [wheelSlots][]entry
-	slots1         [wheelSlots][]entry
 
 	// drain, when set, receives the argument of every live argument-carrying
 	// event that Reset abandons. See SetResetDrain.
@@ -184,24 +156,6 @@ type Scheduler struct {
 // were dropped at Cancel time.
 func (s *Scheduler) SetResetDrain(fn func(any)) { s.drain = fn }
 
-// initSlots carves every slot's initial capacity out of one backing array,
-// so a cold scheduler pays one allocation for the whole wheel instead of
-// one per touched slot. Slots that outgrow their chunk reallocate
-// individually and keep the larger capacity from then on.
-func (s *Scheduler) initSlots() {
-	const per = 32
-	backing := make([]entry, wheelSlots*2*per)
-	for i := range s.slots0 {
-		off := i * per
-		s.slots0[i] = backing[off : off : off+per]
-	}
-	for i := range s.slots1 {
-		off := (wheelSlots + i) * per
-		s.slots1[i] = backing[off : off : off+per]
-	}
-	s.wheelInit = true
-}
-
 // NewScheduler returns an empty scheduler at time zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
 
@@ -213,54 +167,22 @@ func NewScheduler() *Scheduler { return &Scheduler{} }
 // scheduler is bit-identical to a run on a fresh one.
 func (s *Scheduler) Reset() {
 	for i := range s.queue {
-		en := &s.queue[i]
-		// Live events go back to the freelist (release bumps the
-		// generation, so a duplicate tombstone entry cannot match again);
-		// tombstones are already freelisted.
-		if en.e.gen == en.gen {
-			if s.drain != nil && en.e.arg != nil {
-				s.drain(en.e.arg)
-			}
-			s.release(en.e)
+		e := s.queue[i].e
+		if s.drain != nil && e.arg != nil {
+			s.drain(e.arg)
 		}
-		*en = entry{}
+		s.release(e)
+		s.queue[i] = entry{}
 	}
 	s.queue = s.queue[:0]
-	for i := range s.slots0 {
-		s.resetSlot(&s.slots0[i])
-	}
-	for i := range s.slots1 {
-		s.resetSlot(&s.slots1[i])
-	}
-	s.cur0 = 0
-	s.cur1 = 0
-	s.count0 = 0
-	s.count1 = 0
 	s.now = 0
 	s.seq = 0
-	s.live = 0
 	s.fired = 0
 	s.halted = false
 	s.firing = nil
 	s.firingArmT = 0
 	s.firingArmT2 = 0
 	s.inFire = false
-}
-
-// resetSlot releases a wheel slot's live events and truncates it in place,
-// keeping the slice's capacity for the next run.
-func (s *Scheduler) resetSlot(sl *[]entry) {
-	for i := range *sl {
-		en := &(*sl)[i]
-		if en.e.gen == en.gen {
-			if s.drain != nil && en.e.arg != nil {
-				s.drain(en.e.arg)
-			}
-			s.release(en.e)
-		}
-		*en = entry{}
-	}
-	*sl = (*sl)[:0]
 }
 
 // Now reports the current simulated time.
@@ -271,9 +193,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // throughput lines cmd/paperexp prints.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are queued and not cancelled. It is a
-// maintained counter, not a scan: safe to call per event.
-func (s *Scheduler) Pending() int { return s.live }
+// Pending reports how many events are queued. Cancelled events leave the
+// queue at once, so this is the queue's length: safe to call per event.
+func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // eventSlab is how many events an empty freelist allocates at once: a
 // world's working set of concurrent timers is built one slab allocation
@@ -298,8 +220,8 @@ func (s *Scheduler) alloc() *event {
 }
 
 // release recycles an event: the generation bump invalidates every Timer
-// handle and heap tombstone pointing at it, and clearing the callback and
-// argument drops their references so freelisted events pin no world state.
+// handle pointing at it, and clearing the callback and argument drops their
+// references so freelisted events pin no world state.
 func (s *Scheduler) release(e *event) {
 	e.gen++
 	s.releaseFired(e)
@@ -312,7 +234,6 @@ func (s *Scheduler) releaseFired(e *event) {
 	e.fn = nil
 	e.afn = nil
 	e.arg = nil
-	e.wlevel = 0
 	e.next = s.free
 	s.free = e
 }
@@ -328,6 +249,17 @@ func (s *Scheduler) armedNow() (armT, armT2, armT3 Time) {
 	return s.now, s.now, s.now
 }
 
+// key stamps e with due time t, the arming genealogy and the next arming
+// sequence number.
+func (s *Scheduler) key(e *event, t, armT, armT2, armT3 Time) {
+	e.t = t
+	e.armT = armT
+	e.armT2 = armT2
+	e.armT3 = armT3
+	e.seq = s.seq
+	s.seq++
+}
+
 // schedule queues an event at absolute time t, armed as of virtual instant
 // armT with ancestor instants armT2, armT3 (armedNow() for the truthful
 // entry points).
@@ -338,145 +270,13 @@ func (s *Scheduler) schedule(t, armT, armT2, armT3 Time, fn func(), afn func(any
 	if armT > t {
 		panic(fmt.Sprintf("sim: armed-as-of %v after due time %v", armT, t))
 	}
-	// When both wheels are empty the clock can outrun the cursors (heap
-	// events fire without flushing anything). Re-base then, so near-future
-	// events keep landing in wheel slots instead of degrading to the heap.
-	if s.count0+s.count1 == 0 {
-		if tk := int64(s.now) >> tick0Bits; tk > s.cur0 {
-			s.cur0 = tk
-			s.cur1 = tk >> wheelBits
-		}
-	}
 	e := s.alloc()
-	e.t = t
 	e.fn = fn
 	e.afn = afn
 	e.arg = arg
-	s.place(entry{t: t, armT: armT, armT2: armT2, armT3: armT3, seq: s.seq, gen: e.gen, e: e})
-	s.seq++
-	s.live++
+	s.key(e, t, armT, armT2, armT3)
+	s.push(e)
 	return Timer{e: e, gen: e.gen}
-}
-
-// place routes an entry to a wheel slot or the heap by its due time.
-// Entries in an already-flushed level-0 tick must go to the heap (their
-// slot will not be visited again before they are due); entries within the
-// level-0 horizon get an O(1) slot append; entries within the level-1
-// horizon get a coarse slot that cascades into level 0 later; everything
-// farther out falls back to the heap.
-func (s *Scheduler) place(en entry) {
-	tk0 := int64(en.t) >> tick0Bits
-	if tk0 < s.cur0 {
-		en.e.wlevel = 0
-		s.push(en)
-		return
-	}
-	if !s.wheelInit {
-		s.initSlots()
-	}
-	if tk0-s.cur0 < wheelSlots {
-		i := tk0 & wheelMask
-		en.e.wlevel = 1
-		en.e.wslot = uint8(i)
-		en.e.wpos = int32(len(s.slots0[i]))
-		s.slots0[i] = append(s.slots0[i], en)
-		s.count0++
-		return
-	}
-	tk1 := int64(en.t) >> tick1Bits
-	if tk1 >= s.cur1 && tk1-s.cur1 < wheelSlots {
-		i := tk1 & wheelMask
-		en.e.wlevel = 2
-		en.e.wslot = uint8(i)
-		en.e.wpos = int32(len(s.slots1[i]))
-		s.slots1[i] = append(s.slots1[i], en)
-		s.count1++
-		return
-	}
-	en.e.wlevel = 0
-	s.push(en)
-}
-
-// wheelRemove eagerly swap-removes a still-scheduled event's entry from
-// its wheel slot, fixing up the backref of whichever live entry the swap
-// moved. Wheel slots therefore never hold tombstones; only heap entries
-// are deleted lazily.
-func (s *Scheduler) wheelRemove(e *event) {
-	var sl *[]entry
-	if e.wlevel == 1 {
-		sl = &s.slots0[e.wslot]
-		s.count0--
-	} else {
-		sl = &s.slots1[e.wslot]
-		s.count1--
-	}
-	q := *sl
-	last := len(q) - 1
-	pos := int(e.wpos)
-	if pos != last {
-		q[pos] = q[last]
-		q[pos].e.wpos = int32(pos)
-	}
-	q[last] = entry{}
-	*sl = q[:last]
-	e.wlevel = 0
-}
-
-// advance flushes expired wheel slots into the heap until the heap's head
-// (if any) provably precedes every wheel entry — i.e. it is earlier than
-// the first unflushed tick — or the wheels drain. All firing happens from
-// the heap, so this is the only place wheel entries change residence.
-func (s *Scheduler) advance() {
-	for s.count0+s.count1 > 0 {
-		if len(s.queue) > 0 && s.queue[0].t < Time(s.cur0<<tick0Bits) {
-			return
-		}
-		if s.cur0>>wheelBits == s.cur1 {
-			s.cascade()
-			continue
-		}
-		if s.count0 == 0 {
-			// Nothing left at level 0: jump straight to the next
-			// level-1 boundary instead of walking empty slots.
-			s.cur0 = s.cur1 << wheelBits
-			continue
-		}
-		sl := s.slots0[s.cur0&wheelMask]
-		if n := len(sl); n > 0 {
-			// Every entry is live (Cancel removes eagerly); hand each to
-			// the heap, which owns ordering from here on.
-			for i := range sl {
-				en := sl[i]
-				sl[i] = entry{}
-				en.e.wlevel = 0
-				s.push(en)
-			}
-			s.slots0[s.cur0&wheelMask] = sl[:0]
-			s.count0 -= n
-		}
-		s.cur0++
-	}
-}
-
-// cascade drains the next level-1 slot into the level-0 slots that now
-// cover its tick. Entries in the slot are always exactly due — the insert
-// window (tick ≥ cur1) and in-order cascading make a mixed-wrap slot
-// impossible — but re-placement goes through place anyway, which also
-// handles the defensive cases (heap fallback) for free.
-func (s *Scheduler) cascade() {
-	i := s.cur1 & wheelMask
-	sl := s.slots1[i]
-	// Truncate before re-placing so a (defensive) re-place into this same
-	// slot would append after the drained prefix instead of being lost to
-	// a trailing truncation; reads stay ahead of any such writes.
-	s.slots1[i] = sl[:0]
-	s.count1 -= len(sl)
-	s.cur1++
-	for j := range sl {
-		en := sl[j]
-		sl[j] = entry{}
-		s.place(en)
-	}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
@@ -577,32 +377,26 @@ func (s *Scheduler) FiringLineage() (armedAt, parentAt Time) {
 
 // Cancel removes the timer's callback from the queue if it has not fired.
 // Cancelling an inert (zero, fired, or already cancelled) timer is a no-op.
-// Removal is O(1) either way: a heap-resident event is deleted lazily (the
-// orphaned entry is discarded when it reaches the top), while a
-// wheel-resident one is swap-removed from its slot immediately — so
-// cancel-heavy workloads (TCP retransmission timers rearm on every ACK)
-// cost no sift-and-fix work and leave no debris in far-future slots.
+// The entry leaves the heap at once — one O(log n) sift from its recorded
+// position — so cancel-heavy workloads (TCP retransmission timers rearm on
+// every ACK) leave no dead entries behind to be sifted past later.
 func (s *Scheduler) Cancel(tm Timer) {
 	if tm.e == nil || tm.e.gen != tm.gen {
 		return
 	}
-	if tm.e.wlevel != 0 {
-		s.wheelRemove(tm.e)
-	}
+	s.remove(tm.e.idx)
 	s.release(tm.e)
-	s.live--
 }
 
 // Reschedule moves a still-pending timer to absolute time t without the
-// free-and-realloc round trip of Cancel + At: the event struct is re-timed
-// in place. A wheel-resident event is swap-removed from its slot and
-// re-placed; a heap-resident one leaves its old entry behind as a lazy
-// tombstone (exactly like Cancel) and pushes a fresh entry, so the cost is
-// one O(log n) sift with no freelist traffic either way. The returned
-// Timer supersedes tm, which goes inert; callers re-arming a recurring
-// timer must keep the new handle. Rescheduling an inert timer reports
-// false and changes nothing; t in the past panics. The callback and
-// argument ride along unchanged — Reschedule re-times, never re-targets.
+// free-and-realloc round trip of Cancel + At: the event is re-keyed and
+// sifted from its current heap position, one O(log n) fix with no freelist
+// traffic. It takes a fresh arming sequence number, so it orders exactly
+// like a newly armed event. The returned Timer supersedes tm, which goes
+// inert; callers re-arming a recurring timer must keep the new handle.
+// Rescheduling an inert timer reports false and changes nothing; t in the
+// past panics. The callback and argument ride along unchanged — Reschedule
+// re-times, never re-targets.
 func (s *Scheduler) Reschedule(tm Timer, t Time) (Timer, bool) {
 	a1, a2, a3 := s.armedNow()
 	return s.rescheduleAsOf(tm, t, a1, a2, a3)
@@ -623,13 +417,9 @@ func (s *Scheduler) rescheduleAsOf(tm Timer, t, armT, armT2, armT3 Time) (Timer,
 	if t < s.now {
 		panic(fmt.Sprintf("sim: reschedule at %v before now %v", t, s.now))
 	}
-	if e.wlevel != 0 {
-		s.wheelRemove(e)
-	}
-	e.gen++ // orphans the old heap entry (if any) and every old handle
-	e.t = t
-	s.place(entry{t: t, armT: armT, armT2: armT2, armT3: armT3, seq: s.seq, gen: e.gen, e: e})
-	s.seq++
+	e.gen++ // supersedes every old handle
+	s.key(e, t, armT, armT2, armT3)
+	s.fix(e.idx, entry{t: t, e: e})
 	return Timer{e: e, gen: e.gen}, true
 }
 
@@ -664,10 +454,8 @@ func (s *Scheduler) rearmAsOf(t, armT, armT2, armT3 Time) Timer {
 		panic(fmt.Sprintf("sim: rearm at %v before now %v", t, s.now))
 	}
 	s.firing = nil
-	e.t = t
-	s.place(entry{t: t, armT: armT, armT2: armT2, armT3: armT3, seq: s.seq, gen: e.gen, e: e})
-	s.seq++
-	s.live++
+	s.key(e, t, armT, armT2, armT3)
+	s.push(e)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -676,42 +464,35 @@ func (s *Scheduler) rearmAsOf(t, armT, armT2, armT3 Time) Timer {
 func (s *Scheduler) Halt() { s.halted = true }
 
 // Step executes the single earliest pending event. It reports false when
-// the queue holds no live events.
+// the queue is empty.
 func (s *Scheduler) Step() bool {
-	for {
-		s.advance()
-		if len(s.queue) == 0 {
-			return false
-		}
-		en := s.pop()
-		e := en.e
-		if e.gen != en.gen {
-			continue // tombstone of a cancelled event
-		}
-		// The generation bump happens at fire time — handles go inert
-		// before the callback runs, exactly as with an immediate release —
-		// but the struct is recycled only after the callback returns, so
-		// the callback may Rearm it in place for the next link of a chain.
-		e.gen++
-		s.live--
-		s.now = en.t
-		s.fired++
-		s.firing = e
-		s.firingArmT = en.armT
-		s.firingArmT2 = en.armT2
-		s.inFire = true
-		if e.afn != nil {
-			e.afn(e.arg)
-		} else {
-			e.fn()
-		}
-		s.inFire = false
-		if s.firing == e {
-			s.firing = nil
-			s.releaseFired(e)
-		}
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
+	e := s.queue[0].e
+	s.remove(0)
+	// The generation bump happens at fire time — handles go inert before
+	// the callback runs, exactly as with an immediate release — but the
+	// struct is recycled only after the callback returns, so the callback
+	// may Rearm it in place for the next link of a chain.
+	e.gen++
+	s.now = e.t
+	s.fired++
+	s.firing = e
+	s.firingArmT = e.armT
+	s.firingArmT2 = e.armT2
+	s.inFire = true
+	if e.afn != nil {
+		e.afn(e.arg)
+	} else {
+		e.fn()
+	}
+	s.inFire = false
+	if s.firing == e {
+		s.firing = nil
+		s.releaseFired(e)
+	}
+	return true
 }
 
 // Run executes events until the queue drains or Halt is called.
@@ -725,11 +506,7 @@ func (s *Scheduler) Run() {
 // Events scheduled exactly at t do fire.
 func (s *Scheduler) RunUntil(t Time) {
 	s.halted = false
-	for !s.halted {
-		next, ok := s.peekTime()
-		if !ok || next > t {
-			break
-		}
+	for !s.halted && len(s.queue) > 0 && s.queue[0].t <= t {
 		s.Step()
 	}
 	if s.now < t {
@@ -740,70 +517,81 @@ func (s *Scheduler) RunUntil(t Time) {
 // RunFor runs the simulation for d of simulated time from now.
 func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
-// peekTime reports the time of the earliest live event, discarding any
-// tombstones that have reached the top.
-func (s *Scheduler) peekTime() (Time, bool) {
-	for {
-		s.advance()
-		if len(s.queue) == 0 {
-			return 0, false
-		}
-		en := s.queue[0]
-		if en.e.gen == en.gen {
-			return en.t, true
-		}
-		s.pop()
+// push inserts a keyed event into the heap.
+func (s *Scheduler) push(e *event) {
+	if s.queue == nil {
+		s.queue = make([]entry, 0, queueInit)
+	}
+	s.queue = append(s.queue, entry{})
+	s.up(len(s.queue)-1, entry{t: e.t, e: e})
+}
+
+// remove deletes the entry at heap position i, refilling the hole with the
+// last entry.
+func (s *Scheduler) remove(i int) {
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue[n] = entry{} // drop the event reference from the dead slot
+	s.queue = s.queue[:n]
+	if i < n {
+		s.fix(i, last)
 	}
 }
 
-// push inserts an entry into the 4-ary heap (sift up).
-func (s *Scheduler) push(en entry) {
-	s.queue = append(s.queue, en)
+// fix places en into the hole at position i, sifting whichever way its key
+// demands.
+func (s *Scheduler) fix(i int, en entry) {
+	if i > 0 && entryLess(en, s.queue[(i-1)/4]) {
+		s.up(i, en)
+	} else {
+		s.down(i, en)
+	}
+}
+
+// up moves the hole at position i toward the root until en fits, then
+// stores en there. Every entry moved records its new position.
+func (s *Scheduler) up(i int, en entry) {
 	q := s.queue
-	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !entryLess(q[i], q[p]) {
+		if !entryLess(en, q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
+		q[i].e.idx = i
 		i = p
 	}
+	q[i] = en
+	en.e.idx = i
 }
 
-// pop removes and returns the minimum entry (sift down).
-func (s *Scheduler) pop() entry {
+// down moves the hole at position i toward the leaves until en fits, then
+// stores en there.
+func (s *Scheduler) down(i int, en entry) {
 	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = entry{} // drop the event reference from the dead slot
-	s.queue = q[:n]
-	if n > 0 {
-		q = s.queue
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			best := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if entryLess(q[j], q[best]) {
-					best = j
-				}
-			}
-			if !entryLess(q[best], last) {
-				break
-			}
-			q[i] = q[best]
-			i = best
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		q[i] = last
+		best := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if entryLess(q[j], q[best]) {
+				best = j
+			}
+		}
+		if !entryLess(q[best], en) {
+			break
+		}
+		q[i] = q[best]
+		q[i].e.idx = i
+		i = best
 	}
-	return top
+	q[i] = en
+	en.e.idx = i
 }

@@ -190,7 +190,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
-// RunUntil must not stall on cancelled events parked at the heap top.
+// RunUntil must reach a live event scheduled behind many cancelled ones.
 func TestSchedulerRunUntilSkipsTombstones(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 10; i++ {
@@ -201,7 +201,7 @@ func TestSchedulerRunUntilSkipsTombstones(t *testing.T) {
 	s.After(20*Millisecond, func() { ran = true })
 	s.RunUntil(Time(30 * Millisecond))
 	if !ran {
-		t.Fatal("live event behind tombstones not reached")
+		t.Fatal("live event behind cancelled ones not reached")
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d after drain", s.Pending())
@@ -282,8 +282,8 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-// Pending is a maintained counter: it must track schedule, cancel and fire
-// exactly, including cancels whose tombstones still sit in the heap.
+// Pending must track schedule, cancel and fire exactly, including a
+// double cancel.
 func TestSchedulerPending(t *testing.T) {
 	s := NewScheduler()
 	e := s.After(Second, func() {})
@@ -332,7 +332,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 }
 
 // Property: identical seeds yield identical event interleavings even under
-// random cancellation (which exercises the lazy-deletion path heavily).
+// random cancellation (which exercises the heap's remove path heavily).
 func TestSchedulerDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		s := NewScheduler()
