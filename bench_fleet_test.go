@@ -15,11 +15,12 @@ import (
 // reports the aggregate simulated-event throughput that headlines
 // BENCH_5.json. It runs on one shard so the measurement is the engine,
 // not the host's core count. Its allocs/op is near-exact, not bit-exact:
-// the arena pool is drained to the same empty state before every
-// iteration, but world construction builds routing tables and
-// out-of-order maps whose overflow-bucket counts depend on per-map hash
-// seeds (±~0.2% in practice), so the bench-gate stamps it with the same
-// 0.5% allocs tolerance as the other world-scale benches. The merge path
+// every iteration reuses the warm arena the warm-up run left on exp's
+// arena free list, but the runs still grow maps (out-of-order sets,
+// routing tables of rebuilt worlds) whose overflow-bucket counts depend
+// on per-map hash seeds (±~0.2% in practice), so the bench-gate stamps
+// it with the same 0.5% allocs tolerance as the other world-scale
+// benches. The merge path
 // itself is gated strictly by BenchmarkFleetMerge below.
 func BenchmarkFleetSecond(b *testing.B) {
 	b.ReportAllocs()
@@ -41,9 +42,9 @@ func BenchmarkFleetSecond(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		// Two GC cycles empty the sync.Pool arena cache (current + victim),
-		// so every iteration rebuilds its arena from the same blank slate
-		// and allocs/op is exact rather than hostage to GC timing.
+		// Start every iteration from a collected heap. The warm arena is
+		// on exp's free list, not in a sync.Pool, so collection cannot
+		// discard it: every iteration reuses the same warm arena.
 		runtime.GC()
 		runtime.GC()
 		b.StartTimer()

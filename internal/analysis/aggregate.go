@@ -70,11 +70,7 @@ func (g *Aggregate) Reset(cfg Config) {
 	if cfg.KSReservoir == 0 {
 		cfg.KSReservoir = DefaultKSReservoir
 	}
-	g.cfg = cfg
-	g.worlds, g.n = 0, 0
-	g.count, g.sum = 0, 0
-	g.b001, g.b025, g.b1 = 0, 0, 0
-	g.rttSum = 0
+	*g = Aggregate{cfg: cfg, hist: g.hist, res: g.res, pmf: g.pmf, ksSort: g.ksSort, out: g.out}
 
 	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
 	if g.hist != nil && g.hist.NumBins() == nbins && g.hist.BinWidth == cfg.BinWidth {
@@ -82,8 +78,6 @@ func (g *Aggregate) Reset(cfg Config) {
 	} else {
 		g.hist = stats.NewHistogram(cfg.BinWidth, nbins)
 	}
-	g.mom.Reset()
-	g.disp = stats.DispersionStats{}
 	g.res.Reset(cfg.KSReservoir)
 }
 

@@ -83,15 +83,10 @@ func (s *Streaming) Reset(rtt sim.Duration, cfg Config) error {
 	if cfg.KSReservoir == 0 {
 		cfg.KSReservoir = DefaultKSReservoir
 	}
-	s.cfg = cfg
-	s.rtt = rtt
-	s.rttF = float64(rtt)
-
-	s.n = 0
-	s.last = 0
-	s.sum = 0
-	s.mom.Reset()
-	s.b001, s.b025, s.b1 = 0, 0, 0
+	*s = Streaming{
+		cfg: cfg, rtt: rtt, rttF: float64(rtt),
+		hist: s.hist, res: s.res, pmf: s.pmf, ksSort: s.ksSort, out: s.out,
+	}
 
 	nbins := int(cfg.MaxInterval/cfg.BinWidth + 0.5)
 	if s.hist != nil && s.hist.NumBins() == nbins && s.hist.BinWidth == cfg.BinWidth {
@@ -214,15 +209,11 @@ type BurstTracker struct {
 
 // Reset prepares the tracker for a new run with the given clustering gap.
 func (b *BurstTracker) Reset(maxGap sim.Duration) {
-	b.maxGap = maxGap
-	b.last = 0
-	b.curSize = 0
+	clear(b.curFlows)
+	*b = BurstTracker{maxGap: maxGap, curFlows: b.curFlows}
 	if b.curFlows == nil {
 		b.curFlows = make(map[int]struct{}, 16)
-	} else {
-		clear(b.curFlows)
 	}
-	b.bursts, b.singles, b.maxSize, b.sumSize, b.sumFlows = 0, 0, 0, 0, 0
 }
 
 // Observe feeds one loss event (nondecreasing times).

@@ -16,14 +16,9 @@ type Flow struct {
 // cfg's Flow/Src/Dst fields are filled in from the flow id and the nodes'
 // addresses; other fields are respected.
 func NewFlow(sched *sim.Scheduler, snd, rcv *netsim.Node, flowID int, cfg Config) *Flow {
-	cfg.Flow = flowID
-	cfg.Src = snd.Addr
-	cfg.Dst = rcv.Addr
-	s := NewSender(sched, snd, cfg)
-	r := NewReceiver(sched, rcv, cfg)
-	snd.Bind(flowID, s)
-	rcv.Bind(flowID, r)
-	return &Flow{Sender: s, Receiver: r}
+	f := &Flow{Sender: NewSender(sched, snd, cfg), Receiver: NewReceiver(sched, rcv, cfg)}
+	f.ResetPair(snd, rcv, flowID, cfg)
+	return f
 }
 
 // ResetPair rewinds a flow built by NewFlow for another run on a reset

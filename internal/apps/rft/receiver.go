@@ -77,16 +77,14 @@ func NewReceiver(sched *sim.Scheduler, out netsim.Handler, cfg Config) *Receiver
 func (r *Receiver) Reset(cfg Config) {
 	cfg.fillDefaults()
 	cfg.validate()
-	r.cfg = cfg
-	r.epoch = 0
-	r.DataIn = 0
-	r.Duplicates = 0
-	r.StaleData = 0
-	r.AcksOut = 0
-	r.Transfers = 0
-	r.pktID = 0
-	r.OnChunk = nil
-	r.OnComplete = nil
+	*r = Receiver{
+		sched: r.sched,
+		out:   r.out,
+		ackFn: r.ackFn,
+		got:   r.got,
+
+		cfg: cfg,
+	}
 	r.rewindTransfer()
 }
 
@@ -97,9 +95,7 @@ func (r *Receiver) rewindTransfer() {
 		r.got = make([]uint64, words)
 	} else {
 		r.got = r.got[:words]
-		for i := range r.got {
-			r.got[i] = 0
-		}
+		clear(r.got)
 	}
 	r.received = 0
 	r.nextNeeded = 0

@@ -221,17 +221,16 @@ func NewSender(sched *sim.Scheduler, out netsim.Handler, cfg Config) *Sender {
 func (s *Sender) Reset(cfg Config) {
 	cfg.fillDefaults()
 	cfg.validate()
-	s.cfg = cfg
-	s.epoch = 0
-	s.Sent = 0
-	s.Retransmitted = 0
-	s.TailProbes = 0
-	s.AcksIn = 0
-	s.StaleAcks = 0
-	s.Decreases = 0
-	s.Completed = 0
-	s.OnRate = nil
-	s.OnComplete = nil
+	*s = Sender{
+		sched:   s.sched,
+		out:     s.out,
+		emitFn:  s.emitFn,
+		startFn: s.startFn,
+		resendQ: s.resendQ,
+		sentAt:  s.sentAt,
+
+		cfg: cfg,
+	}
 	s.rewindTransfer()
 }
 
@@ -252,9 +251,7 @@ func (s *Sender) rewindTransfer() {
 		s.sentAt = make([]sim.Time, n)
 	} else {
 		s.sentAt = s.sentAt[:n]
-		for i := range s.sentAt {
-			s.sentAt[i] = 0
-		}
+		clear(s.sentAt)
 	}
 	s.running = false
 	s.done = false

@@ -122,20 +122,40 @@ func SweepArena[C, R any](opts Options, configs []C, fn func(Run[C], *Arena) (R,
 	return results
 }
 
-// arenaPool recycles worker arenas across sweeps. A sweep's arenas carry
+// arenas recycles worker arenas across sweeps. A sweep's arenas carry
 // warm capacity that is expensive to regrow — event freelists, scheduler
 // and queue-store slices, packet populations, cached compiled worlds — and
 // every one of those is rewound by its accessor (Scheduler resets, worlds
-// Reset via topo.NetworkIn), so a pooled arena is observationally
+// Reset via topo.NetworkIn), so a recycled arena is observationally
 // identical to a fresh one while skipping the regrowth. Back-to-back
 // sweeps (replication campaigns, benchmark iterations, paperexp artifact
 // batches) therefore pay world construction once per process, not once
-// per sweep. Under memory pressure the pool sheds arenas like any
-// sync.Pool.
-var arenaPool = sync.Pool{New: func() any { return NewArena() }}
+// per sweep. The free list is a plain mutex-guarded stack, not a
+// sync.Pool: whether a warm arena is reused must not depend on when the
+// garbage collector runs. It is bounded by the peak worker count without
+// any bookkeeping, because an arena is only created when the list is
+// empty, i.e. when every existing arena is in use.
+var arenas struct {
+	sync.Mutex
+	free []*Arena
+}
 
-func getArena() *Arena  { return arenaPool.Get().(*Arena) }
-func putArena(a *Arena) { arenaPool.Put(a) }
+func getArena() *Arena {
+	arenas.Lock()
+	defer arenas.Unlock()
+	if n := len(arenas.free); n > 0 {
+		a := arenas.free[n-1]
+		arenas.free = arenas.free[:n-1]
+		return a
+	}
+	return NewArena()
+}
+
+func putArena(a *Arena) {
+	arenas.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.Unlock()
+}
 
 // protect runs fn, converting a panic into an error so one bad replication
 // cannot take down a whole sweep.

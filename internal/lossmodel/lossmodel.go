@@ -114,17 +114,12 @@ func (p GEParams) MeanBurstLen() float64 {
 
 // NewGilbertElliott builds the chain starting in the Good state.
 func NewGilbertElliott(params GEParams, rng *rand.Rand) *GilbertElliott {
-	if err := params.Validate(); err != nil {
-		panic(err)
-	}
 	if rng == nil {
 		panic("lossmodel: nil rng")
 	}
-	return &GilbertElliott{
-		PGB: params.PGB, PBG: params.PBG,
-		KGood: params.KGood, KBad: params.KBad,
-		state: Good, rng: rng,
-	}
+	g := &GilbertElliott{rng: rng}
+	g.configure(params)
+	return g
 }
 
 // State exposes the current chain state (for tests and instrumentation).
@@ -135,13 +130,21 @@ func (g *GilbertElliott) State() GEState { return g.state }
 // NewGilbertElliott(params, rand.New(rand.NewSource(seed))) without
 // reallocating — the hook world-reset paths use to rewind link loss.
 func (g *GilbertElliott) Reset(params GEParams, seed int64) {
+	g.configure(params)
+	g.rng.Seed(seed)
+}
+
+// configure puts the chain in the Good state with the given parameters,
+// keeping only the random generator.
+func (g *GilbertElliott) configure(params GEParams) {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	g.PGB, g.PBG = params.PGB, params.PBG
-	g.KGood, g.KBad = params.KGood, params.KBad
-	g.state = Good
-	g.rng.Seed(seed)
+	*g = GilbertElliott{
+		PGB: params.PGB, PBG: params.PBG,
+		KGood: params.KGood, KBad: params.KBad,
+		state: Good, rng: g.rng,
+	}
 }
 
 // Lost implements Process: advance the chain one packet and report loss.

@@ -200,6 +200,7 @@ func NewPort(sched *sim.Scheduler, q Queue, l *Link) *Port {
 	p.deliver = func(a any) { p.Link.Dst.Handle(a.(*Packet)) }
 	p.delFire = p.onDeliverRing
 	l.notify = p.onRetune
+	p.Reset()
 	return p
 }
 
@@ -563,8 +564,8 @@ func (p *Port) growRing() {
 // Reset returns the port to its just-built state for world reuse: leftover
 // queued, in-flight and ring-committed packets recycle into the pool, the
 // counters zero, and the per-run hooks (OnDrop, ProcNoise, LinkLoss)
-// detach. The queue instance, link, ring capacity and internal callbacks
-// persist — rewinding the discipline's own state (DropTail.Reset,
+// detach. The queue instance, link, pool, ring capacity and internal
+// callbacks persist — rewinding the discipline's own state (DropTail.Reset,
 // RED.Reset) and the link's rate/delay is the topology layer's job.
 // Callers must reset the owning scheduler first (or alongside), since
 // pending serialization and delivery events are cancelled wholesale there;
@@ -580,26 +581,23 @@ func (p *Port) Reset() {
 		p.Pool.Put(pkt)
 	}
 	p.Pool.Put(p.txPkt)
-	p.txPkt = nil
 	for p.rlen > 0 {
 		p.Pool.Put(p.popFront().pkt)
 	}
-	p.rhead = 0
-	p.counted = 0
-	p.lastDone = 0
-	p.prevStart = 0
-	p.prevPstart = 0
 	p.Sched.Cancel(p.delTimer) // no-op when the scheduler was reset first
-	p.delTimer = sim.Timer{}
-	p.busy = false
-	p.fast = false
-	p.OnDrop = nil
-	p.ProcNoise = nil
-	p.LinkLoss = nil
-	p.fwd = 0
-	p.Dropped = 0
-	p.LinkDropped = 0
-	p.txBytes = 0
+	*p = Port{
+		Sched:   p.Sched,
+		Queue:   p.Queue,
+		Link:    p.Link,
+		Pool:    p.Pool,
+		red:     p.red,
+		dt:      p.dt,
+		naive:   p.naive,
+		txDone:  p.txDone,
+		deliver: p.deliver,
+		delFire: p.delFire,
+		ring:    p.ring,
+	}
 }
 
 // UniformNoise returns a ProcNoise function drawing uniformly from [0,max).

@@ -68,9 +68,7 @@ func (q *fifo) len() int { return len(q.pkts) - q.head }
 // caller must already have drained (and recycled) the queued packets —
 // typically via Port.Reset — so only dead slots remain to truncate.
 func (q *fifo) reset() {
-	for i := q.head; i < len(q.pkts); i++ {
-		q.pkts[i] = nil
-	}
+	clear(q.pkts[q.head:])
 	q.pkts = q.pkts[:0]
 	q.head = 0
 	q.bytes = 0
@@ -89,11 +87,9 @@ type DropTail struct {
 // NewDropTail returns a DropTail queue holding at most limit packets.
 // A non-positive limit panics: a bufferless port cannot forward.
 func NewDropTail(limit int) *DropTail {
-	if limit <= 0 {
-		panic("netsim: DropTail limit must be positive")
-	}
-	q := &DropTail{Limit: limit}
+	q := &DropTail{}
 	q.seed(limit)
+	q.Reset(limit)
 	return q
 }
 

@@ -69,13 +69,48 @@ type REDConfig struct {
 // NewRED builds a RED queue. rng must be non-nil; RED is a randomized
 // discipline and the experiments need seeded reproducibility.
 func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
-	if cfg.Limit <= 0 {
-		panic("netsim: RED limit must be positive")
-	}
 	if rng == nil {
 		panic("netsim: RED requires a seeded *rand.Rand")
 	}
-	q := &RED{
+	q := &RED{rng: rng}
+	q.seed(cfg.Limit)
+	q.configure(cfg)
+	return q
+}
+
+// Reset rewinds the queue to the state NewRED(cfg, sim.NewRand(seed))
+// would produce, reusing the existing store and random generator, and
+// reseeds the random stream — so a reset RED queue is bit-identical to a
+// freshly built one. The caller drains queued packets first (Port.Reset).
+func (q *RED) Reset(cfg REDConfig, seed int64) {
+	q.configure(cfg)
+	q.rng.Seed(seed)
+}
+
+// configure empties the store and rewinds every other field to its
+// just-built value under cfg, filling Floyd's defaults for zero tunables;
+// only the store's capacity and the random generator persist.
+func (q *RED) configure(cfg REDConfig) {
+	if cfg.Limit <= 0 {
+		panic("netsim: RED limit must be positive")
+	}
+	if cfg.Wq == 0 {
+		cfg.Wq = 0.002
+	}
+	if cfg.MaxP == 0 {
+		cfg.MaxP = 0.1
+	}
+	if cfg.MinTh == 0 {
+		cfg.MinTh = 5
+	}
+	if cfg.MaxTh == 0 {
+		cfg.MaxTh = 3 * cfg.MinTh
+	}
+	q.fifo.reset()
+	*q = RED{
+		fifo: q.fifo,
+		rng:  q.rng,
+
 		Limit:       cfg.Limit,
 		MinTh:       cfg.MinTh,
 		MaxTh:       cfg.MaxTh,
@@ -84,64 +119,9 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 		ECN:         cfg.ECN,
 		Gentle:      cfg.Gentle,
 		PersistMark: cfg.PersistMark,
-		rng:         rng,
 		ptc:         cfg.PacketsPerSecond,
+		idleStart:   -1,
 	}
-	q.seed(cfg.Limit)
-	if q.Wq == 0 {
-		q.Wq = 0.002
-	}
-	if q.MaxP == 0 {
-		q.MaxP = 0.1
-	}
-	if q.MinTh == 0 {
-		q.MinTh = 5
-	}
-	if q.MaxTh == 0 {
-		q.MaxTh = 3 * q.MinTh
-	}
-	q.idleStart = -1
-	return q
-}
-
-// Reset rewinds the queue to the state NewRED(cfg, sim.NewRand(seed))
-// would produce, reusing the existing store and random generator: the
-// EWMA, uniformization count, idle clock and persistent-ECN window zero
-// out, the tunables retake cfg (with the same Floyd defaults), and the
-// random stream reseeds — so a reset RED queue is bit-identical to a
-// freshly built one. The caller drains queued packets first (Port.Reset).
-func (q *RED) Reset(cfg REDConfig, seed int64) {
-	if cfg.Limit <= 0 {
-		panic("netsim: RED limit must be positive")
-	}
-	q.fifo.reset()
-	q.Limit = cfg.Limit
-	q.MinTh = cfg.MinTh
-	q.MaxTh = cfg.MaxTh
-	q.MaxP = cfg.MaxP
-	q.Wq = cfg.Wq
-	q.ECN = cfg.ECN
-	q.Gentle = cfg.Gentle
-	q.PersistMark = cfg.PersistMark
-	q.ptc = cfg.PacketsPerSecond
-	if q.Wq == 0 {
-		q.Wq = 0.002
-	}
-	if q.MaxP == 0 {
-		q.MaxP = 0.1
-	}
-	if q.MinTh == 0 {
-		q.MinTh = 5
-	}
-	if q.MaxTh == 0 {
-		q.MaxTh = 3 * q.MinTh
-	}
-	q.markUntil = 0
-	q.avg = 0
-	q.count = 0
-	q.idleStart = -1
-	q.Marked = 0
-	q.rng.Seed(seed)
 }
 
 func (q *RED) noteTime(nowSec float64) {

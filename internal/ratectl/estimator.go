@@ -55,11 +55,7 @@ func NewKalmanEstimator() *KalmanEstimator {
 
 // Reset rewinds to the just-built state.
 func (k *KalmanEstimator) Reset() {
-	k.offset = 0
-	k.errCov = kalmanInitialError
-	k.varNoise = kalmanInitialNoise
-	k.numDelta = 0
-	k.scaled = 0
+	*k = KalmanEstimator{errCov: kalmanInitialError, varNoise: kalmanInitialNoise}
 }
 
 // Offset reports the current detector signal in milliseconds.

@@ -120,18 +120,17 @@ func NewGCCSender(sched *sim.Scheduler, out netsim.Handler, cfg GCCConfig) *GCCS
 // The owning scheduler must have been reset first.
 func (s *GCCSender) Reset(cfg GCCConfig) {
 	cfg.fillDefaults()
-	s.cfg = cfg
-	s.rate = cfg.InitialRate
-	s.rtt = cfg.InitialRTT
-	s.hasRTT = false
-	s.seq = 0
-	s.pktID = 0
-	s.running = false
-	s.timer = sim.Timer{}
-	s.nfTimer = sim.Timer{}
-	s.Sent = 0
-	s.FeedbackIn = 0
-	s.OnRate = nil
+	*s = GCCSender{
+		sched:   s.sched,
+		out:     s.out,
+		emitFn:  s.emitFn,
+		nfFn:    s.nfFn,
+		startFn: s.startFn,
+
+		cfg:  cfg,
+		rate: cfg.InitialRate,
+		rtt:  cfg.InitialRTT,
+	}
 }
 
 // Rate reports the current sending rate in bytes/second.
@@ -317,36 +316,25 @@ func NewGCCReceiver(sched *sim.Scheduler, out netsim.Handler, cfg GCCConfig) *GC
 // TestRatectlResetRateTrace).
 func (r *GCCReceiver) Reset(cfg GCCConfig) {
 	cfg.fillDefaults()
-	r.cfg = cfg
+	*r = GCCReceiver{
+		sched: r.sched,
+		out:   r.out,
+		fbFn:  r.fbFn,
+
+		cfg:      cfg,
+		maxSeq:   -1,
+		fbMaxSeq: -1,
+	}
 	r.ia.Reset()
 	r.kalman.Reset()
 	r.trend.Reset()
-	if cfg.Estimator == EstimatorTrendline {
-		r.est = &r.trend
-	} else {
-		r.est = &r.kalman
-	}
 	r.det.Reset()
 	r.aimd.Reset(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
 	r.lossCtl.Reset(cfg.InitialRate, cfg.MinRate, cfg.MaxRate)
-	r.maxSeq = -1
-	r.fbMaxSeq = -1
-	r.fbReceived = 0
-	r.pktID = 0
-	r.fbTimer = sim.Timer{}
-	r.running = false
-	r.lastDataSend = 0
-	r.lastDataArrival = 0
-	r.winStart = 0
-	r.winBytes = 0
-	r.recvRate = 0
-	r.Received = 0
-	r.BytesIn = 0
-	r.Groups = 0
-	r.Overuses = 0
-	r.AppliedFB = 0
-	r.LastTarget = 0
-	r.OnData = nil
+	r.est = &r.kalman
+	if cfg.Estimator == EstimatorTrendline {
+		r.est = &r.trend
+	}
 }
 
 // TargetRate reports the controller's current target in bytes/second:
@@ -480,14 +468,9 @@ type GCCFlow struct {
 // supplied cfg's Flow/Src/Dst fields are filled in from the flow id and
 // the nodes' addresses; other fields are respected.
 func NewGCCFlow(sched *sim.Scheduler, snd, rcv *netsim.Node, flowID int, cfg GCCConfig) *GCCFlow {
-	cfg.Flow = flowID
-	cfg.Src = snd.Addr
-	cfg.Dst = rcv.Addr
-	s := NewGCCSender(sched, snd, cfg)
-	r := NewGCCReceiver(sched, rcv, cfg)
-	snd.Bind(flowID, s)
-	rcv.Bind(flowID, r)
-	return &GCCFlow{Sender: s, Receiver: r}
+	f := &GCCFlow{Sender: NewGCCSender(sched, snd, cfg), Receiver: NewGCCReceiver(sched, rcv, cfg)}
+	f.ResetPair(snd, rcv, flowID, cfg)
+	return f
 }
 
 // ResetPair rewinds a flow built by NewGCCFlow for another run on a reset

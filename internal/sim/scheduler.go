@@ -174,15 +174,7 @@ func (s *Scheduler) Reset() {
 		s.release(e)
 		s.queue[i] = entry{}
 	}
-	s.queue = s.queue[:0]
-	s.now = 0
-	s.seq = 0
-	s.fired = 0
-	s.halted = false
-	s.firing = nil
-	s.firingArmT = 0
-	s.firingArmT2 = 0
-	s.inFire = false
+	*s = Scheduler{queue: s.queue[:0], free: s.free, drain: s.drain}
 }
 
 // Now reports the current simulated time.

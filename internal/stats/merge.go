@@ -179,10 +179,7 @@ func (r *Reservoir) Reset(bound int) {
 	if bound <= 0 {
 		panic("stats: reservoir needs a positive bound")
 	}
-	r.bound = bound
-	r.items = r.items[:0]
-	r.seen = 0
-	r.rng = reservoirSeed
+	*r = Reservoir{bound: bound, items: r.items[:0], rng: reservoirSeed}
 }
 
 // Observe offers one value to the sample.

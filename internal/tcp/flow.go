@@ -15,16 +15,12 @@ type Flow struct {
 // topology. The supplied cfg's Flow/Src/Dst fields are filled in from the
 // flow id and the nodes' addresses; other fields are respected.
 func NewPairFlow(sched *sim.Scheduler, snd, rcv *netsim.Node, flowID int, cfg Config) *Flow {
-	cfg.Flow = flowID
-	cfg.Src = snd.Addr
-	cfg.Dst = rcv.Addr
-
-	s := NewSender(sched, snd, cfg)
-	r := NewReceiver(sched, rcv, flowID, cfg.Dst, cfg.Src, cfg.AckSize)
-	r.SetPool(cfg.Pool)
-	rcv.Bind(flowID, r)
-	snd.Bind(flowID, s)
-	return &Flow{Sender: s, Receiver: r}
+	f := &Flow{
+		Sender:   NewSender(sched, snd, cfg),
+		Receiver: NewReceiver(sched, rcv, flowID, rcv.Addr, snd.Addr, cfg.AckSize),
+	}
+	f.ResetPair(snd, rcv, flowID, cfg)
+	return f
 }
 
 // ResetPair rewinds a flow built by NewPairFlow for another run on a reset

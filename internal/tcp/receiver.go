@@ -43,14 +43,9 @@ func NewReceiver(sched *sim.Scheduler, out netsim.Handler, flow, src, dst, ackSi
 	if sched == nil || out == nil {
 		panic("tcp: NewReceiver requires scheduler and output")
 	}
-	if ackSize <= 0 {
-		ackSize = 40
-	}
-	return &Receiver{
-		sched: sched, out: out,
-		flow: flow, src: src, dst: dst, ack: ackSize,
-		ooo: make(map[int64]bool),
-	}
+	r := &Receiver{sched: sched, ooo: make(map[int64]bool)}
+	r.Reset(out, flow, src, dst, ackSize)
+	return r
 }
 
 // Reset rewinds the receiver to the state NewReceiver(sched, out, flow,
@@ -65,21 +60,17 @@ func (r *Receiver) Reset(out netsim.Handler, flow, src, dst, ackSize int) {
 	if ackSize <= 0 {
 		ackSize = 40
 	}
-	r.out = out
-	r.flow = flow
-	r.src = src
-	r.dst = dst
-	r.ack = ackSize
-	r.cumAck = 0
 	clear(r.ooo)
-	r.ceSeen = false
-	r.pktID = 0
-	r.pool = nil
-	r.Received = 0
-	r.Duplicates = 0
-	r.AcksOut = 0
-	r.BytesIn = 0
-	r.OnData = nil
+	*r = Receiver{
+		sched: r.sched,
+		ooo:   r.ooo,
+
+		out:  out,
+		flow: flow,
+		src:  src,
+		dst:  dst,
+		ack:  ackSize,
+	}
 }
 
 // CumAck reports the next expected sequence number.

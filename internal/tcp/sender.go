@@ -187,21 +187,10 @@ func NewSender(sched *sim.Scheduler, out netsim.Handler, cfg Config) *Sender {
 	if sched == nil || out == nil {
 		panic("tcp: NewSender requires scheduler and output")
 	}
-	cfg.fillDefaults()
-	s := &Sender{
-		sched:    sched,
-		out:      out,
-		cfg:      cfg,
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: cfg.InitialSSThresh,
-		timedSeq: -1,
-	}
-	s.est.MinRTO = cfg.MinRTO
-	s.est.MaxRTO = cfg.MaxRTO
-	s.est.InitialRTO = cfg.InitialRTO
-	s.vegasSlow = cfg.Variant == Vegas
+	s := &Sender{sched: sched, out: out}
 	s.rtoFn = s.onTimeout
 	s.paceFn = s.onPaceTick
+	s.Reset(cfg)
 	return s
 }
 
@@ -213,36 +202,19 @@ func NewSender(sched *sim.Scheduler, out netsim.Handler, cfg Config) *Sender {
 // without reconstructing their flows.
 func (s *Sender) Reset(cfg Config) {
 	cfg.fillDefaults()
-	s.cfg = cfg
-	s.cwnd = cfg.InitialCwnd
-	s.ssthresh = cfg.InitialSSThresh
-	s.nextSeq = 0
-	s.maxSent = 0
-	s.cumAck = 0
-	s.dupAcks = 0
-	s.inRec = false
-	s.recover = 0
-	s.recoverFrom = 0
-	s.est = rttEstimator{MinRTO: cfg.MinRTO, MaxRTO: cfg.MaxRTO, InitialRTO: cfg.InitialRTO}
-	s.backoff = 0
-	s.rtoTimer = sim.Timer{}
-	s.paceTimer = sim.Timer{}
-	s.timedSeq = -1
-	s.timedAt = 0
-	s.baseRTT = 0
-	s.lastVegas = 0
-	s.vegasSlow = cfg.Variant == Vegas
-	s.vegasParity = false
-	s.lastECNCut = 0
-	s.pktID = 0
-	s.done = false
-	s.Sent = 0
-	s.Retransmits = 0
-	s.AcksIn = 0
-	s.CongestionEvents = 0
-	s.Timeouts = 0
-	s.CompletedAt = 0
-	s.OnComplete = nil
+	*s = Sender{
+		sched:  s.sched,
+		out:    s.out,
+		rtoFn:  s.rtoFn,
+		paceFn: s.paceFn,
+
+		cfg:       cfg,
+		cwnd:      cfg.InitialCwnd,
+		ssthresh:  cfg.InitialSSThresh,
+		est:       rttEstimator{MinRTO: cfg.MinRTO, MaxRTO: cfg.MaxRTO, InitialRTO: cfg.InitialRTO},
+		timedSeq:  -1,
+		vegasSlow: cfg.Variant == Vegas,
+	}
 }
 
 // vegas alpha/beta thresholds in packets of estimated backlog.

@@ -70,24 +70,28 @@ func flowName(f FlowSpec) string {
 	return f.From + "→" + f.To
 }
 
-// buildQueue realizes a QueueSpec. seed feeds RED's random stream.
-func buildQueue(q QueueSpec, seed int64) netsim.Queue {
-	if q.Custom != nil {
+// buildQueue allocates the queue a QueueSpec selects. Only its type and
+// store capacity are fixed here: Network.configure sets the limit and RED
+// tunables and seeds RED's random stream.
+func buildQueue(q QueueSpec) netsim.Queue {
+	switch {
+	case q.Custom != nil:
 		return q.Custom
+	case q.RED != nil:
+		return netsim.NewRED(redConfig(q.RED, q.limit()), sim.NewRand(0))
 	}
-	limit := q.Limit
-	if limit <= 0 {
-		limit = DefaultQueueLimit
-	}
-	if r := q.RED; r != nil {
-		return netsim.NewRED(redConfig(r, limit), sim.NewRand(seed))
-	}
-	return netsim.NewDropTail(limit)
+	return netsim.NewDropTail(q.limit())
 }
 
-// redConfig translates a REDSpec plus resolved limit into netsim's config,
-// shared by fresh builds (buildQueue) and in-place rewinds (Network.Reset)
-// so both paths configure RED identically.
+// limit resolves the queue's capacity, defaulting a zero Limit.
+func (q QueueSpec) limit() int {
+	if q.Limit <= 0 {
+		return DefaultQueueLimit
+	}
+	return q.Limit
+}
+
+// redConfig translates a REDSpec plus resolved limit into netsim's config.
 func redConfig(r *REDSpec, limit int) netsim.REDConfig {
 	return netsim.REDConfig{
 		Limit:            limit,

@@ -234,11 +234,55 @@ func TestParseBandwidthTrace(t *testing.T) {
 		"bad rate":       "0 -3\n",
 		"zero rate":      "0 0\n",
 		"non-increasing": "1 16\n1 12\n",
+		"NaN rate":       "0 NaN\n",
+		"Inf rate":       "0 Inf\n",
+		"huge rate":      "0 1e300\n",
+		"sub-bps rate":   "0 1e-9\n",
+		"NaN time":       "NaN 5\n",
+		"Inf time":       "+Inf 5\n",
+		"huge time":      "1e300 5\n",
+		"time at 2^63ns": "9223372036.854775808 5\n",
 	} {
 		if _, err := topo.ParseBandwidthTrace([]byte(in)); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
+}
+
+// FuzzParseBandwidthTrace: the trace parser is an untrusted-input surface
+// (scenario trace files), so for arbitrary bytes it must return an error
+// or a schedule the link modulator can run — never panic, never a
+// negative or non-increasing offset, never a non-positive rate.
+func FuzzParseBandwidthTrace(f *testing.F) {
+	for _, in := range []string{
+		"# comment line\n0 16.0\n1.5 2.4   # inline comment\n3 24\n",
+		"0 NaN\n",
+		"0 Inf\n",
+		"1e300 5\n",
+		"0 1e-9\n",
+		"0 1e300\n",
+		"1 16\n1 12\n",
+		"0 0.000001\n1e-10 5\n",
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps, err := topo.ParseBandwidthTrace(data)
+		if err != nil {
+			return
+		}
+		if len(steps) == 0 {
+			t.Fatal("accepted a trace with no steps")
+		}
+		for i, s := range steps {
+			if s.At < 0 || s.Rate <= 0 {
+				t.Fatalf("step %d = %+v", i, s)
+			}
+			if i > 0 && s.At <= steps[i-1].At {
+				t.Fatalf("step %d at %v not after %v", i, s.At, steps[i-1].At)
+			}
+		}
+	})
 }
 
 // TestBernoulliLossHelper: the independent-loss convenience produces a

@@ -2,8 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/exp"
 	"repro/internal/lossmodel"
@@ -153,30 +151,18 @@ func (p *Program) computeRoutes() {
 // Spec returns the compiled spec.
 func (p *Program) Spec() Spec { return p.spec }
 
-// Resettable reports whether instances of this program support Reset: no
-// direction may use a Custom queue, since an opaque Queue cannot be
-// rewound to its just-built state.
-func (p *Program) Resettable() bool {
-	for _, pd := range p.dirs {
-		if pd.dir.Queue.Custom != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // Instantiate stamps the program out onto a scheduler: fresh nodes, ports,
-// queues, loss chains and modulators, seeded exactly as Build(sched,
-// p.Spec(), seed) would seed them, with the precomputed routing solution
-// replayed instead of recomputed. The error cases are Build's (nil
-// scheduler, unroutable flow).
+// queues and links with the precomputed routing solution replayed instead
+// of recomputed, then configured exactly as Reset configures a reused
+// world — so an instance is seeded exactly as Build(sched, p.Spec(), seed)
+// would seed it. The error cases are Build's (nil scheduler, unroutable
+// flow).
 func (p *Program) Instantiate(sched *sim.Scheduler, seed int64) (*Network, error) {
 	if sched == nil {
 		return nil, fmt.Errorf("topo: Instantiate requires a scheduler")
 	}
 	n := &Network{
 		Sched: sched,
-		spec:  p.spec,
 		prog:  p,
 		nodes: make(map[string]*netsim.Node, len(p.spec.Nodes)),
 		addr:  p.addr,
@@ -191,47 +177,23 @@ func (p *Program) Instantiate(sched *sim.Scheduler, seed int64) (*Network, error
 		nd.ReserveRoutes(reserve)
 		n.nodes[ns.Name] = nd
 	}
-
-	// Ports in compiled order (A→B then B→A per link), with the identical
-	// seed derivation Build uses: the queue consumes the direction seed
-	// directly and the loss chain and modulator draw SubSeed children of it.
 	for _, pd := range p.dirs {
-		dirSeed := sim.SubSeed(seed, pd.tag)
-		q := buildQueue(pd.dir.Queue, dirSeed)
 		link := netsim.NewLink(pd.dir.Rate, pd.dir.Delay, n.nodes[pd.e.to])
-		port := netsim.NewPort(sched, q, link)
-		if ls := pd.dir.Loss; ls != nil {
-			ge := lossmodel.NewGilbertElliott(ls.params(), sim.NewRand(sim.SubSeed(dirSeed, 1)))
-			port.LinkLoss = ge.Lost
-			if n.ges == nil {
-				n.ges = make(map[edge]*lossmodel.GilbertElliott)
-			}
-			n.ges[pd.e] = ge
-		}
-		if dyn := pd.dir.Dynamics; dyn != nil {
-			if n.mods == nil {
-				n.mods = make(map[edge]*netsim.LinkModulator)
-			}
-			n.mods[pd.e] = buildDynamics(sched, link, dyn, sim.SubSeed(dirSeed, 2))
-		}
-		n.ports[pd.e] = port
-		n.dirs[pd.e] = pd.dir
+		n.ports[pd.e] = netsim.NewPort(sched, buildQueue(pd.dir.Queue), link)
 		n.edges = append(n.edges, pd.e)
 	}
-
 	for _, r := range p.routes {
 		n.nodes[r.src].AddRoute(r.dst, n.ports[r.out])
 	}
-
-	if err := n.computeRTTs(); err != nil {
+	if err := n.configure(p.spec, seed); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
 // computeRTTs fills the per-flow base RTTs from the current direction
-// delays, doubling as the flow reachability check. Shared by Instantiate
-// and Reset; the slice is reused across resets.
+// delays, doubling as the flow reachability check. The last step of
+// configure; the slice is reused across resets.
 func (n *Network) computeRTTs() error {
 	flows := n.spec.Flows
 	if cap(n.rtts) >= len(flows) {
@@ -269,45 +231,43 @@ func (n *Network) computeRTTs() error {
 // dynamics, flow labels. That asymmetry is what replication sweeps need —
 // each replication perturbs delays or buffers but never the shape.
 func (n *Network) Reset(spec Spec, seed int64) error {
-	p := n.prog
-	if p == nil {
-		return fmt.Errorf("topo: network has no compiled program")
-	}
 	// Structure first (allocation-free against the compiled shape), then
 	// only the parametric half of validation — the structural half is
 	// implied by matching the already-validated compiled spec.
-	if err := p.structuralMatch(spec); err != nil {
-		return err
+	if what, i := n.prog.structuralMatch(spec); what != "" {
+		return fmt.Errorf("topo: reset: %s %d does not match compiled program %q", what, i, n.prog.spec.Name)
 	}
 	if err := spec.validateParams(); err != nil {
 		return err
 	}
-	n.spec = spec
+	return n.configure(spec, seed)
+}
 
-	// Rewind each direction in creation order, reproducing Instantiate's
-	// seed derivation and event ordering: the queue reseeds on the
-	// direction seed, the loss chain on SubSeed(dirSeed, 1), and the
-	// modulator — whose Start is the only event scheduled during a build —
-	// is recreated on SubSeed(dirSeed, 2) after the link's rate and delay
-	// are restored, so a reset world's event sequence numbers match a
-	// fresh build's exactly.
+// configure brings every allocated element to the state spec and seed
+// describe: the one initialization path shared by Instantiate and Reset.
+// Directions go in creation order with one seed derivation: the queue
+// reseeds on the direction seed, the loss chain on SubSeed(dirSeed, 1),
+// and the modulator — whose Start is the only event scheduled while a
+// world is configured — is recreated on SubSeed(dirSeed, 2) after the
+// link's rate and delay are set, so a reset world's event sequence
+// numbers match a fresh build's exactly. Custom queues are the caller's
+// and are left as they are.
+func (n *Network) configure(spec Spec, seed int64) error {
+	n.spec = spec
 	di := 0
 	for _, l := range spec.Links {
 		for _, d := range [2]Dir{l.AB, l.mirrored()} {
-			pd := p.dirs[di]
+			pd := n.prog.dirs[di]
 			di++
-			e := pd.e
-			dirSeed := sim.SubSeed(seed, pd.tag)
+			e, dirSeed := pd.e, sim.SubSeed(seed, pd.tag)
 			port := n.ports[e]
 			port.Reset()
-			limit := d.Queue.Limit
-			if limit <= 0 {
-				limit = DefaultQueueLimit
-			}
-			if r := d.Queue.RED; r != nil {
-				port.Queue.(*netsim.RED).Reset(redConfig(r, limit), dirSeed)
-			} else {
-				port.Queue.(*netsim.DropTail).Reset(limit)
+			switch {
+			case d.Queue.Custom != nil:
+			case d.Queue.RED != nil:
+				port.Queue.(*netsim.RED).Reset(redConfig(d.Queue.RED, d.Queue.limit()), dirSeed)
+			default:
+				port.Queue.(*netsim.DropTail).Reset(d.Queue.limit())
 			}
 			port.Link.Rate = d.Rate
 			port.Link.Delay = d.Delay
@@ -338,126 +298,105 @@ func (n *Network) Reset(spec Spec, seed int64) error {
 			n.dirs[e] = d
 		}
 	}
-
 	for _, ns := range spec.Nodes {
 		n.nodes[ns.Name].Reset()
 	}
 	return n.computeRTTs()
 }
 
-// structuralMatch reports whether spec shares the program's structure: the
-// parts Reset cannot change because they are baked into allocated objects
-// (node identities and addresses, link endpoints and order, queue
-// discipline types) or into the precomputed routing solution (node set,
-// adjacency, flow endpoints).
-func (p *Program) structuralMatch(spec Spec) error {
+// structuralMatch locates the first difference between spec and the
+// program's structure: the parts Reset cannot change because they are
+// baked into allocated objects (node identities and addresses, link
+// endpoints and order, queue discipline types) or into the precomputed
+// routing solution (node set, adjacency, flow endpoints). what names the
+// differing part ("" when the structures match) and i is its index, or
+// the spec's count for a count mismatch. It allocates nothing, so
+// NetworkIn can scan an arena's cached worlds with it.
+func (p *Program) structuralMatch(spec Spec) (what string, i int) {
 	old := p.spec
 	if len(spec.Nodes) != len(old.Nodes) {
-		return fmt.Errorf("topo: reset: %d nodes, program has %d", len(spec.Nodes), len(old.Nodes))
+		return "node count", len(spec.Nodes)
 	}
 	for i, ns := range spec.Nodes {
 		if ns != old.Nodes[i] {
-			return fmt.Errorf("topo: reset: node %d is %+v, program has %+v", i, ns, old.Nodes[i])
+			return "node", i
 		}
 	}
 	if len(spec.Links) != len(old.Links) {
-		return fmt.Errorf("topo: reset: %d links, program has %d", len(spec.Links), len(old.Links))
+		return "link count", len(spec.Links)
 	}
 	for i, l := range spec.Links {
 		ol := old.Links[i]
 		if l.A != ol.A || l.B != ol.B {
-			return fmt.Errorf("topo: reset: link %d is %s—%s, program has %s—%s", i, l.A, l.B, ol.A, ol.B)
+			return "link", i
 		}
 		nd := [2]Dir{l.AB, l.mirrored()}
 		od := [2]Dir{ol.AB, ol.mirrored()}
 		for j := range nd {
 			if nd[j].Queue.Custom != nil || od[j].Queue.Custom != nil {
-				return fmt.Errorf("topo: reset: link %d has a Custom queue; custom disciplines cannot be rewound", i)
+				return "Custom queue (never rewindable) on link", i
 			}
 			if (nd[j].Queue.RED != nil) != (od[j].Queue.RED != nil) {
-				return fmt.Errorf("topo: reset: link %d changes queue discipline kind", i)
+				return "queue discipline of link", i
 			}
 		}
 	}
 	if len(spec.Flows) != len(old.Flows) {
-		return fmt.Errorf("topo: reset: %d flows, program has %d", len(spec.Flows), len(old.Flows))
+		return "flow count", len(spec.Flows)
 	}
 	for i, f := range spec.Flows {
-		of := old.Flows[i]
-		if f.From != of.From || f.To != of.To {
-			return fmt.Errorf("topo: reset: flow %d is %s→%s, program has %s→%s", i, f.From, f.To, of.From, of.To)
+		if of := old.Flows[i]; f.From != of.From || f.To != of.To {
+			return "flow", i
 		}
 	}
-	return nil
+	return "", 0
 }
 
-// structuralKey fingerprints the parts of a spec that Reset requires to
-// match — exactly the fields structuralMatch compares. Two specs with the
-// same key describe interchangeable world shapes (possibly with different
-// parameters), so the key indexes the per-arena world cache.
-func structuralKey(spec Spec) string {
-	var b strings.Builder
-	b.Grow(32 * (len(spec.Nodes) + len(spec.Links) + len(spec.Flows)))
-	b.WriteString(spec.Name)
-	for _, ns := range spec.Nodes {
-		b.WriteByte(';')
-		b.WriteString(ns.Name)
-		b.WriteByte('=')
-		b.WriteString(strconv.Itoa(ns.Addr))
-	}
-	b.WriteString("|L")
-	for _, l := range spec.Links {
-		b.WriteByte(';')
-		b.WriteString(l.A)
-		b.WriteByte('~')
-		b.WriteString(l.B)
-		for _, d := range [2]Dir{l.AB, l.mirrored()} {
-			switch {
-			case d.Queue.Custom != nil:
-				b.WriteByte('c')
-			case d.Queue.RED != nil:
-				b.WriteByte('r')
-			default:
-				b.WriteByte('d')
-			}
-		}
-	}
-	b.WriteString("|F")
-	for _, f := range spec.Flows {
-		b.WriteByte(';')
-		b.WriteString(f.From)
-		b.WriteByte('>')
-		b.WriteString(f.To)
-	}
-	return b.String()
-}
+// worldsKey is the arena scratch slot holding NetworkIn's cached worlds.
+const worldsKey = "topo/worlds"
 
 // NetworkIn returns a world for spec on the arena's terms: with a nil
 // arena it is exactly Build; with an arena it keeps one compiled-and-
-// instantiated Network per structural shape in the arena's scratch and
-// Resets it for each subsequent run, so a replication sweep pays
-// validation, BFS and allocation once per worker instead of once per
-// replication. sched must be the arena's (reset) scheduler. Worlds whose
-// spec uses Custom queues are never cached — they fall back to Build
-// every time, since an opaque queue cannot be rewound.
+// instantiated Network per spec name and structural shape in a list on
+// the arena, and Resets the matching one for each subsequent run, so a
+// replication sweep pays validation, BFS and allocation once per worker
+// instead of once per replication. sched must be the arena's (reset)
+// scheduler. Worlds whose spec uses Custom queues are never cached — they
+// fall back to Build every time, since an opaque queue cannot be rewound.
 func NetworkIn(a *exp.Arena, sched *sim.Scheduler, spec Spec, seed int64) (*Network, error) {
 	if a == nil {
 		return Build(sched, spec, seed)
 	}
-	key := "topo/" + structuralKey(spec)
-	if v := a.Scratch(key); v != nil {
-		if net, ok := v.(*Network); ok && net.Sched == sched {
-			if err := net.Reset(spec, seed); err == nil {
-				return net, nil
-			}
+	worlds, _ := a.Scratch(worldsKey).(*[]*Network)
+	if worlds == nil {
+		worlds = new([]*Network)
+		a.SetScratch(worldsKey, worlds)
+	}
+	slot := len(*worlds)
+	for i, net := range *worlds {
+		if net.prog.spec.Name != spec.Name {
+			continue
 		}
+		if what, _ := net.prog.structuralMatch(spec); what != "" {
+			continue
+		}
+		if net.Sched == sched && net.Reset(spec, seed) == nil {
+			return net, nil
+		}
+		slot = i
+		break
 	}
 	net, err := Build(sched, spec, seed)
 	if err != nil {
 		return nil, err
 	}
-	if net.prog.Resettable() {
-		a.SetScratch(key, net)
+	if what, _ := net.prog.structuralMatch(spec); what != "" {
+		return net, nil // a Custom queue: the world cannot be rewound
+	}
+	if slot < len(*worlds) {
+		(*worlds)[slot] = net
+	} else {
+		*worlds = append(*worlds, net)
 	}
 	return net, nil
 }

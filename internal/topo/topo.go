@@ -116,9 +116,9 @@ type REDSpec struct {
 }
 
 // FlowKind selects the transport family a flow runs. It is a parametric
-// field like link rates: structural matching (Program.structuralMatch,
-// structuralKey) compares flows by endpoints only, so a cached world can
-// be Reset from loss-based to delay-based flows without recompiling.
+// field like link rates: structural matching (Program.structuralMatch)
+// compares flows by endpoints only, so a cached world can be Reset from
+// loss-based to delay-based flows without recompiling.
 type FlowKind uint8
 
 // Transport families.

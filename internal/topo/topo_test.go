@@ -339,15 +339,18 @@ func TestDumbbellBuilderEquivalence(t *testing.T) {
 }
 
 func TestRegistryRegisterAndLookup(t *testing.T) {
-	// Not parallel: mutates the global registry.
+	// Not parallel: mutates the global registry. A repeated run (-count)
+	// finds the scenario already registered by the previous one.
 	name := "test-registry-scenario"
-	topo.Register(topo.Scenario{
-		Name:        name,
-		Description: "registry round-trip",
-		Run: func(cfg topo.ScenarioConfig) (*topo.ScenarioResult, error) {
-			return nil, nil
-		},
-	})
+	if _, ok := topo.Lookup(name); !ok {
+		topo.Register(topo.Scenario{
+			Name:        name,
+			Description: "registry round-trip",
+			Run: func(cfg topo.ScenarioConfig) (*topo.ScenarioResult, error) {
+				return nil, nil
+			},
+		})
+	}
 	if _, ok := topo.Lookup(name); !ok {
 		t.Fatal("registered scenario not found")
 	}
